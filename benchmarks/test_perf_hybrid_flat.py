@@ -1,15 +1,12 @@
-"""Perf: the flattened hybrid hot paths vs the per-bin reference.
+"""Perf: the flat hybrid hot paths and the DPI bandwidth.
 
-The hybrid estimator's serving cost used to scale with the number of
-bins times the per-bin Python dispatch; the flat layout (one
-concatenated sorted sample plus per-bin coefficient arrays, see
-``repro.core.hybrid_flat``) answers a whole batch with two
-``searchsorted`` calls and segmented reductions.  This module records
-both paths over the same built statistic so the perf gate can fail CI
-whenever the flat path stops beating the per-bin loop
-(``--overhead perf_query_batch.hybrid_legacy:perf_query_batch.hybrid_flat``
-with a cap of 1.0), and times the direct plug-in bandwidth whose
-roughness functionals now run on the linear-binned convolution path.
+The hybrid estimator answers a whole batch through its flat layout
+(one concatenated sorted sample plus per-bin coefficient arrays, see
+``repro.core.hybrid_flat``) with two ``searchsorted`` calls and
+segmented reductions.  This module times its build and batch query,
+which the CI perf gate holds against ``BENCH_perf.json``, and the
+direct plug-in bandwidth whose roughness functionals run on the
+linear-binned convolution path.
 """
 
 import numpy as np
@@ -63,24 +60,8 @@ def test_perf_query_hybrid_flat(benchmark, estimator, query_batch, perf_export):
     perf_export.record("perf_query_batch", "hybrid_flat", benchmark.stats.stats)
 
 
-def test_perf_query_hybrid_legacy(benchmark, estimator, query_batch, perf_export):
-    a, b = query_batch
-    out = benchmark(estimator.selectivities_reference, a, b)
-    assert out.shape == a.shape
-    perf_export.record("perf_query_batch", "hybrid_legacy", benchmark.stats.stats)
-
-
 def test_perf_build_plugin_dpi(benchmark, sample, perf_export):
     bandwidth = benchmark(plugin_bandwidth, sample, domain=DOMAIN)
     assert np.isfinite(bandwidth) and bandwidth > 0
     perf_export.record("perf_build", "plugin_dpi", benchmark.stats.stats)
 
-
-def test_flat_matches_legacy(estimator, query_batch):
-    """The timed paths must agree — speed without drift."""
-    a, b = query_batch
-    np.testing.assert_allclose(
-        estimator.selectivities(a, b),
-        estimator.selectivities_reference(a, b),
-        atol=1e-12,
-    )

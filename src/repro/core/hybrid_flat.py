@@ -1,10 +1,8 @@
 """Flat (structure-of-arrays) evaluation of the hybrid estimator.
 
-The object layout of :class:`repro.core.hybrid.HybridEstimator` — a
-Python list of per-bin estimator objects — answers a query batch with
-one vectorized call *per bin*, each paying its own validation,
-window bookkeeping, and reduction overhead.  This module flattens the
-whole partition into contiguous arrays:
+:class:`repro.core.hybrid.HybridEstimator` keeps its whole partition
+in contiguous arrays, so a query batch pays one round of validation,
+window bookkeeping and reduction for all bins together:
 
 - one concatenated sorted-sample array (bins partition the domain in
   order, so per-bin sorted samples concatenate to the globally sorted
@@ -12,19 +10,21 @@ whole partition into contiguous arrays:
 - per-bin ``coeff`` (weight x mass-renormalization scale), bandwidth,
   and uniform-fallback arrays;
 - per-bin prefix moments (:mod:`repro.core.kernel.moments`) so the
-  interior Epanechnikov sums of *every* (query, bin) pair cost O(1).
+  interior Epanechnikov sums of *every* (query, bin) pair cost O(1)
+  wherever the bin passes the moment precision gate.
 
 A query batch expands into (query, bin) pairs for the bins each query
 overlaps — two ``searchsorted`` calls against the edge array — and
-every pair evaluates the exact same per-bin formulas the object path
-uses (:class:`~repro.core.kernel.boundary.BoundaryKernelEstimator`
-three-region decomposition, uniform fallback), reduced back to per-
-query totals with one ``np.add.reduceat``.  No Python loop over bins
-or queries survives.
+every pair evaluates the per-bin formulas of
+:class:`~repro.core.kernel.boundary.BoundaryKernelEstimator` (the
+three-region decomposition) or the uniform fallback, reduced back to
+per-query totals with one ``np.add.reduceat``.  No Python loop over
+bins or queries survives.
 
-The object path stays available as the reference implementation
-(``HybridEstimator.selectivities_reference``); the property tests in
-``tests/test_hybrid_flat.py`` pin the two paths together to 1e-12.
+This is the hybrid's only query path.  The ``Theta(n)`` direct sums
+``HybridEstimator.selectivities_reference`` / ``density_reference``
+are its oracle; ``tests/test_hybrid_flat.py`` pins the two together
+to 1e-12.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class FlatHybrid:
     inv_width: np.ndarray
     counts: np.ndarray
     moments: PrefixMoments
-    use_moments: np.ndarray
+    moment_bins: np.ndarray
 
 
 def build_flat(
@@ -114,7 +114,7 @@ def build_flat(
             for k in range(offsets.size - 1)
         ]
     )
-    use_moments = is_kernel & (spreads <= MOMENT_MAX_RATIO * h)
+    moment_bins = is_kernel & (spreads <= MOMENT_MAX_RATIO * h)
     return FlatHybrid(
         edges=edges,
         offsets=offsets,
@@ -126,7 +126,7 @@ def build_flat(
         inv_width=1.0 / np.diff(edges),
         counts=counts,
         moments=moments,
-        use_moments=use_moments,
+        moment_bins=moment_bins,
     )
 
 
@@ -165,7 +165,7 @@ def _pair_cdf_sums(
     lo = np.clip(np.searchsorted(values, x - reach, side="left"), off_lo, off_hi)
     hi = np.clip(np.searchsorted(values, x + reach, side="right"), off_lo, off_hi)
     out = (lo - off_lo).astype(np.float64)
-    fast = flat.use_moments[pair_k]
+    fast = flat.moment_bins[pair_k]
     if fast.any():
         out[fast] += epan_cdf_sums(
             flat.moments,
@@ -318,7 +318,7 @@ def flat_density(flat: FlatHybrid, flat_x: np.ndarray) -> np.ndarray:
 
     Points on an interior edge receive contributions from *both*
     adjacent bins (each bin's density is inclusive of both its edges),
-    matching the per-bin reference path.
+    matching ``HybridEstimator.density_reference``.
     """
     edges = flat.edges
     bins = edges.size - 1
@@ -358,7 +358,7 @@ def flat_density(flat: FlatHybrid, flat_x: np.ndarray) -> np.ndarray:
                 np.searchsorted(values, x_i + reach, side="right"), off_lo, off_hi
             )
             sums = np.zeros(x_i.shape, dtype=np.float64)
-            fast = flat.use_moments[pk]
+            fast = flat.moment_bins[pk]
             if fast.any():
                 sums[fast] = epan_pdf_sums(
                     flat.moments,

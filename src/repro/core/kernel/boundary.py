@@ -73,8 +73,6 @@ class ReflectionKernelEstimator(KernelSelectivityEstimator):
         bandwidth: float,
         domain: Interval,
         kernel: "KernelFunction | str" = EPANECHNIKOV,
-        *,
-        use_moments: bool = True,
     ) -> None:
         values = validate_sample(sample, domain)
         h = _validate_bandwidth(bandwidth)
@@ -85,7 +83,7 @@ class ReflectionKernelEstimator(KernelSelectivityEstimator):
         augmented = np.concatenate(
             [values, 2.0 * domain.low - left, 2.0 * domain.high - right]
         )
-        super().__init__(augmented, h, resolved, domain=None, use_moments=use_moments)
+        super().__init__(augmented, h, resolved, domain=None)
         self._domain = domain
         self._norm = int(values.size)
 
@@ -142,6 +140,49 @@ def boundary_kernel_pdf(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(inside, value, 0.0)
 
 
+def boundary_mass_scan(
+    values: np.ndarray, h: float, interval: Interval, a: float, b: float
+) -> float:
+    """Boundary-kernel mass of ``[a, b]`` summed over every sample.
+
+    The literal ``Theta(n)`` Algorithm 1 loop of the three-region
+    estimator: each sample's left-region, interior and right-region
+    contributions are summed directly, with no search windows and no
+    prefix moments.  ``[a, b]`` is clipped to ``interval``; divide by
+    the sample size for the selectivity.
+    """
+    low, high = interval.low, interval.high
+    a = min(max(a, low), high)
+    b = min(max(b, low), high)
+    left_hi = (min(b, low + h) - low) / h
+    left = _left_region_mass(min((a - low) / h, left_hi), left_hi, (values - low) / h)
+    right_hi = (high - max(a, high - h)) / h
+    right = _left_region_mass(min((high - b) / h, right_hi), right_hi, (high - values) / h)
+    lo = min(max(a, low + h), high - h)
+    hi = max(min(b, high - h), lo)
+    interior = EPANECHNIKOV.mass_between((lo - values) / h, (hi - values) / h)
+    return float(left.sum() + interior.sum() + right.sum())
+
+
+def boundary_density_scan(values: np.ndarray, h: float, interval: Interval, x: float) -> float:
+    """Boundary-kernel density sum at ``x`` over every sample.
+
+    The ``Theta(n)`` counterpart of :meth:`BoundaryKernelEstimator.density`:
+    the region-appropriate kernel evaluated at every sample, zero
+    outside ``interval``; divide by ``n * h`` for the density.
+    """
+    low, high = interval.low, interval.high
+    if not low <= x <= high:
+        return 0.0
+    if x < low + h:
+        kernel = boundary_kernel_pdf((x - values) / h, (x - low) / h)
+    elif x > high - h:
+        kernel = boundary_kernel_pdf((values - x) / h, (high - x) / h)
+    else:
+        kernel = EPANECHNIKOV.pdf((x - values) / h)
+    return float(kernel.sum())
+
+
 class BoundaryKernelEstimator(KernelSelectivityEstimator):
     """Kernel estimator using Simonoff–Dong boundary kernels.
 
@@ -162,8 +203,6 @@ class BoundaryKernelEstimator(KernelSelectivityEstimator):
         bandwidth: float,
         domain: Interval,
         kernel: "KernelFunction | str" = EPANECHNIKOV,
-        *,
-        use_moments: bool = True,
     ) -> None:
         resolved = get_kernel(kernel)
         if resolved.name != "epanechnikov":
@@ -177,7 +216,7 @@ class BoundaryKernelEstimator(KernelSelectivityEstimator):
                 f"bandwidth {h} is too large for boundary treatment on a domain of "
                 f"width {domain.width}: the two boundary regions would overlap"
             )
-        super().__init__(sample, h, resolved, domain, use_moments=use_moments)
+        super().__init__(sample, h, resolved, domain)
 
     def raw_selectivities(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         domain, h = self._domain, self._h
@@ -208,6 +247,17 @@ class BoundaryKernelEstimator(KernelSelectivityEstimator):
     def selectivity(self, a: float, b: float) -> float:
         a, b = validate_query(a, b)
         return float(self.selectivities(np.array([a]), np.array([b]))[0])
+
+    def selectivity_scan(self, a: float, b: float) -> float:
+        """Reference ``Theta(n)`` evaluation with the boundary kernels.
+
+        Sums all three regions over every sample
+        (:func:`boundary_mass_scan`) to cross-check the windowed fast
+        path; prefer :meth:`selectivity`.
+        """
+        a, b = validate_query(a, b)
+        total = boundary_mass_scan(self._sorted, self._h, self._domain, a, b)
+        return float(np.clip(total / self._norm, 0.0, 1.0))
 
     def _left_masses(self, v_lo: np.ndarray, v_hi: np.ndarray) -> np.ndarray:
         """Batched left-region boundary-kernel mass of ``[v_lo, v_hi]``.
@@ -297,7 +347,6 @@ def make_kernel_estimator(
     *,
     boundary: str = "none",
     kernel: "KernelFunction | str" = EPANECHNIKOV,
-    use_moments: bool = True,
 ) -> KernelSelectivityEstimator:
     """Build a kernel estimator with the requested boundary treatment.
 
@@ -309,25 +358,15 @@ def make_kernel_estimator(
         ``"none"`` (untreated), ``"reflection"`` or ``"kernel"``
         (Simonoff–Dong boundary kernels).  Both treatments require a
         domain.
-    use_moments:
-        Permit the prefix-moment O(1) window sums (Epanechnikov only;
-        automatically gated by the precision ratio).  ``False`` pins
-        the per-sample reference arithmetic.
     """
     if boundary not in BOUNDARY_TREATMENTS:
         raise ValueError(
             f"unknown boundary treatment {boundary!r}; expected one of {BOUNDARY_TREATMENTS}"
         )
     if boundary == "none":
-        return KernelSelectivityEstimator(
-            sample, bandwidth, kernel, domain, use_moments=use_moments
-        )
+        return KernelSelectivityEstimator(sample, bandwidth, kernel, domain)
     if domain is None:
         raise InvalidSampleError(f"boundary treatment {boundary!r} requires a domain")
     if boundary == "reflection":
-        return ReflectionKernelEstimator(
-            sample, bandwidth, domain, kernel, use_moments=use_moments
-        )
-    return BoundaryKernelEstimator(
-        sample, bandwidth, domain, kernel, use_moments=use_moments
-    )
+        return ReflectionKernelEstimator(sample, bandwidth, domain, kernel)
+    return BoundaryKernelEstimator(sample, bandwidth, domain, kernel)

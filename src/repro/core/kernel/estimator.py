@@ -45,7 +45,6 @@ from repro.core.base import (
     validate_query_batch,
     validate_sample,
 )
-from repro.core.kernel import compiled
 from repro.core.kernel import moments as moments_mod
 from repro.core.kernel.functions import EPANECHNIKOV, KernelFunction, get_kernel
 from repro.data.domain import Interval
@@ -193,8 +192,6 @@ class KernelSelectivityEstimator(DensityEstimator):
         bandwidth: float,
         kernel: "KernelFunction | str" = EPANECHNIKOV,
         domain: Interval | None = None,
-        *,
-        use_moments: bool = True,
     ) -> None:
         self._sorted = np.sort(validate_sample(sample, domain))
         self._sorted.flags.writeable = False
@@ -209,13 +206,10 @@ class KernelSelectivityEstimator(DensityEstimator):
         # Prefix-moment O(1) window sums (Epanechnikov only; eager so
         # the estimator stays frozen after build).  The precision gate
         # keeps the polynomial-expansion cancellation far below 1e-12;
-        # ``use_moments=False`` pins the per-sample path — the hybrid's
-        # reference bins use it so the fast and reference paths stay
-        # numerically independent.
+        # samples too spread out for it use per-sample window sums.
         self._moments: moments_mod.PrefixMoments | None = None
         if (
-            use_moments
-            and self._kernel.name == "epanechnikov"
+            self._kernel.name == "epanechnikov"
             and self._sorted.size > 0
             and moments_mod.half_spread(self._sorted)
             <= moments_mod.MOMENT_MAX_RATIO * self._h
@@ -228,8 +222,6 @@ class KernelSelectivityEstimator(DensityEstimator):
         summary: "FrozenSummary",
         bandwidth: float,
         kernel: "KernelFunction | str" = EPANECHNIKOV,
-        *,
-        use_moments: bool = True,
     ) -> "KernelSelectivityEstimator":
         """Build from a frozen column summary (see ``repro.core.summary``).
 
@@ -238,10 +230,7 @@ class KernelSelectivityEstimator(DensityEstimator):
         one a raw-array build over that sample would produce.  Works
         for the boundary subclasses too (``cls`` dispatch).
         """
-        return cls(
-            summary.sample, bandwidth, kernel=kernel, domain=summary.domain,
-            use_moments=use_moments,
-        )
+        return cls(summary.sample, bandwidth, kernel=kernel, domain=summary.domain)
 
     @property
     def sample_size(self) -> int:
@@ -274,8 +263,7 @@ class KernelSelectivityEstimator(DensityEstimator):
         exactly 1 (counted via ``searchsorted``), samples above the
         reach contribute 0; only the window in between evaluates the
         kernel primitive — in O(1) per point through the prefix
-        moments when available, else per sample (compiled layer when
-        active, vectorized NumPy otherwise).
+        moments when available, else per sample.
         """
         sample, h = self._sorted, self._h
         reach = h * self._kernel.support
@@ -284,10 +272,6 @@ class KernelSelectivityEstimator(DensityEstimator):
         inv_h = 1.0 / h
         if self._moments is not None:
             return lo + moments_mod.epan_cdf_sums(self._moments, x, inv_h, lo, hi)
-        if self._kernel.name == "epanechnikov":
-            jitted = compiled.epan_cdf_window_sums(x, sample, inv_h, lo, hi)
-            if jitted is not None:
-                return lo + jitted
 
         def term(pick: PickFn, i: np.ndarray) -> np.ndarray:
             t = pick(x)

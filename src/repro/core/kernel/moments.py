@@ -37,8 +37,8 @@ value, instead of accumulating ``O(n)`` rounding), and the path is
 only used when ``half-spread / h`` is modest
 (:data:`MOMENT_MAX_RATIO`); beyond the cutoff the windows are narrow
 and the per-sample path is both cheap and exact.
-``tests/test_hybrid_flat.py`` property-checks the 1e-12 agreement
-with the per-sample reference across regimes.
+``tests/test_hybrid_flat.py`` checks the flat hybrid built on these
+sums against the ``Theta(n)`` direct-sum oracle to 1e-12.
 
 Segments generalize the single-sample case: the flat hybrid keeps one
 concatenated sorted sample with per-bin offsets, and each bin gets its

@@ -1,19 +1,21 @@
-"""The flattened hybrid fast path vs the per-bin reference.
+"""The flat hybrid query path vs the ``Theta(n)`` oracle.
 
 The contract under test: ``HybridEstimator.selectivities`` /
 ``density`` answered through the contiguous flat layout
-(:mod:`repro.core.hybrid_flat`) must match the per-bin estimator loop
-(``selectivities_reference`` / ``density_reference``) to 1e-12 —
+(:mod:`repro.core.hybrid_flat`) must match the direct per-bin sums of
+``selectivities_reference`` / ``density_reference`` to 1e-12 —
 including the awkward inputs (zero-width queries, queries pinned on
-bin edges, single-bin partitions) — while the prefix-moment machinery
-it rides on (:mod:`repro.core.kernel.moments`) holds its own numerical
-guarantees.
+bin edges, single-bin partitions, uniform-fallback bins) — while the
+prefix-moment machinery it rides on (:mod:`repro.core.kernel.moments`)
+holds its own numerical guarantees.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.hybrid import HybridEstimator
+from repro.bandwidth.normal_scale import kernel_bandwidth
+from repro.core.base import EstimatorError
+from repro.core.hybrid import MIN_KERNEL_SAMPLES, HybridEstimator
 from repro.core.hybrid_flat import bin_offsets
 from repro.core.kernel.moments import (
     MOMENT_MAX_RATIO,
@@ -52,7 +54,6 @@ class TestFlatMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_changepoints(self, seed):
         est = HybridEstimator(_random_sample(seed), DOMAIN)
-        assert est._flat is not None
         a, b = _random_queries(seed + 100)
         np.testing.assert_allclose(
             est.selectivities(a, b), est.selectivities_reference(a, b), atol=ATOL
@@ -117,13 +118,45 @@ class TestFlatMatchesReference:
         scale = max(float(np.max(np.abs(ref))), 1.0 / DOMAIN.width)
         np.testing.assert_allclose(fast / scale, ref / scale, atol=ATOL)
 
-    def test_non_kernel_boundary_falls_back(self):
-        est = HybridEstimator(_random_sample(5), DOMAIN, boundary="reflection")
-        assert est._flat is None
-        a, b = _random_queries(17)
-        np.testing.assert_allclose(
-            est.selectivities(a, b), est.selectivities_reference(a, b), atol=0
+    def test_uniform_fallback_bins(self, monkeypatch):
+        # Bin 1 holds too few samples for a kernel; bin 3 is all
+        # duplicates, on which the bandwidth rule raises.  Both fall
+        # back to the uniform-within-bin assumption.
+        rng = np.random.default_rng(21)
+        duplicates = np.full(200, 450_000.0)
+        sample = np.concatenate(
+            [
+                rng.uniform(0.0, 300_000.0, 995),
+                rng.uniform(300_000.0, 310_000.0, MIN_KERNEL_SAMPLES - 3),
+                rng.uniform(310_000.0, 400_000.0, 300),
+                duplicates,
+                rng.uniform(500_000.0, DOMAIN.high, 500),
+            ]
         )
+        with pytest.raises(EstimatorError):
+            kernel_bandwidth(duplicates)
+        points = np.array([300_000.0, 310_000.0, 400_000.0, 500_000.0])
+        monkeypatch.setattr(
+            "repro.core.hybrid.detect_change_points",
+            lambda values, domain, **kwargs: points,
+        )
+        est = HybridEstimator(sample, DOMAIN, min_bin_fraction=0.001)
+        np.testing.assert_array_equal(est.change_points, points)
+        assert est._flat.is_kernel.tolist() == [True, False, True, False, True]
+        edges = np.concatenate([[DOMAIN.low], points, [DOMAIN.high]])
+        a, b = _random_queries(19)
+        a = np.concatenate([a, np.repeat(edges, edges.size)])
+        b = np.concatenate([b, np.tile(edges, edges.size)])
+        keep = b >= a
+        np.testing.assert_allclose(
+            est.selectivities(a[keep], b[keep]),
+            est.selectivities_reference(a[keep], b[keep]),
+            atol=ATOL,
+        )
+        x = np.concatenate([np.linspace(DOMAIN.low, DOMAIN.high, 257), edges])
+        ref = est.density_reference(x)
+        scale = float(np.max(np.abs(ref)))
+        np.testing.assert_allclose(est.density(x) / scale, ref / scale, atol=ATOL)
 
 
 class TestBinOffsets:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import estimators
@@ -187,6 +187,9 @@ class TestDensityEstimatorInvariants:
 
     @pytest.mark.parametrize("kind", SMOOTH_KINDS)
     @given(sample=samples)
+    # Duplicates plus one subnormal value: the hybrid's bin bandwidth
+    # vanishes at the bin edge's floating-point resolution.
+    @example(sample=np.array([0.0] * 10 + [3.0, 4.0, 7.0, 7.0, 7.0, 1.401298464324817e-45]))
     @settings(max_examples=8, deadline=None)
     def test_density_integrates_to_at_most_one(self, kind, sample):
         est = _build(kind, sample)
@@ -261,6 +264,16 @@ class TestBatchScanEquivalence:
                 for x, y in zip(a, b)
             ]
         )
+        np.testing.assert_allclose(est.selectivities(a, b), scan, atol=1e-12)
+
+    @given(sample=samples, batch=query_batches)
+    @settings(max_examples=15, deadline=None)
+    def test_boundary_batch_matches_scan(self, sample, batch):
+        # The scan must apply the boundary kernels within h of each
+        # edge, exactly as the three-region batch path does.
+        est = make_kernel_estimator(sample, 4.0, DOMAIN, boundary="kernel")
+        a, b = batch
+        scan = np.array([est.selectivity_scan(x, y) for x, y in zip(a, b)])
         np.testing.assert_allclose(est.selectivities(a, b), scan, atol=1e-12)
 
     @pytest.mark.parametrize("boundary", ("none", "reflection", "kernel"))

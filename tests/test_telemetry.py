@@ -9,6 +9,8 @@ import pytest
 
 from repro import estimators, telemetry
 from repro.bandwidth.scale import clamp_bandwidth
+from repro.core.base import SelectivityEstimator, validate_query, validate_sample
+from repro.core.kernel import KernelSelectivityEstimator
 from repro.data.domain import Interval
 from repro.telemetry import (
     BenchmarkExporter,
@@ -229,6 +231,22 @@ class TestDisabledMode:
         assert set_telemetry(before) is replacement
 
 
+class _NestingEstimator(SelectivityEstimator):
+    """An estimator whose constructor builds an inner estimator."""
+
+    def __init__(self, sample, domain):
+        values = validate_sample(sample, domain)
+        self._inner = KernelSelectivityEstimator(values, 4.0, domain=domain)
+
+    @property
+    def sample_size(self):
+        return self._inner.sample_size
+
+    def selectivity(self, a, b):
+        a, b = validate_query(a, b)
+        return self._inner.selectivity(a, b)
+
+
 class TestEstimatorInstrumentation:
     DOMAIN = Interval(0.0, 100.0)
 
@@ -251,11 +269,14 @@ class TestEstimatorInstrumentation:
 
     def test_nested_estimators_count_once(self, sample):
         with telemetry.session() as t:
-            estimators.hybrid(sample, self.DOMAIN)
-        # The hybrid builds inner per-bin kernel estimators; only the
-        # outermost construction is an estimator.build event.
+            _NestingEstimator(sample, self.DOMAIN)
+        # The inner kernel estimator is built inside the outer one's
+        # constructor; only the outermost construction is an
+        # estimator.build event.
         assert t.metrics.counter("estimator.build") == 1
-        assert len(t.spans_by_name("estimator.build")) == 1
+        builds = t.spans_by_name("estimator.build")
+        assert len(builds) == 1
+        assert builds[0].tags["class"] == "_NestingEstimator"
 
     def test_kernel_records_bandwidth(self, sample):
         with telemetry.session() as t:
