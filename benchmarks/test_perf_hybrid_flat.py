@@ -1,8 +1,8 @@
 """Perf: the flat hybrid hot paths and the DPI bandwidth.
 
-The hybrid estimator answers a whole batch through its flat layout
-(one concatenated sorted sample plus per-bin coefficient arrays, see
-``repro.core.hybrid_flat``) with two ``searchsorted`` calls and
+The hybrid estimator answers a whole batch through the kernel window
+engine (one sorted sample plus per-bin coefficient arrays, see
+``repro.core.kernel.flat``) with two ``searchsorted`` calls and
 segmented reductions.  This module times its build and batch query,
 which the CI perf gate holds against ``BENCH_perf.json``, and the
 direct plug-in bandwidth whose roughness functionals run on the

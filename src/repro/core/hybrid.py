@@ -17,11 +17,15 @@ Bins whose sample population is too thin for kernel estimation fall
 back to the uniform-within-bin assumption — exactly a histogram bin —
 which is why the method is a genuine hybrid.
 
-Every bin lives in one contiguous flat layout
-(:mod:`repro.core.hybrid_flat`), which answers all queries and
-densities.  :meth:`HybridEstimator.selectivities_reference` and
+The estimator is a thin layer over the kernel window engine
+(:mod:`repro.core.kernel.flat`): it chooses the bins, their bandwidths
+and their coefficients, and the engine answers all queries and
+densities with one segment per bin — the
+:class:`~repro.core.kernel.boundary.BoundaryKernelEstimator` is the
+same engine with a single segment.
+:meth:`HybridEstimator.selectivities_reference` and
 :meth:`HybridEstimator.density_reference` are the ``Theta(n)``
-Algorithm 1 oracle the flat path is tested against.
+Algorithm 1 oracle the engine is tested against.
 """
 
 from __future__ import annotations
@@ -41,14 +45,14 @@ from repro.core.base import (
 )
 from repro.bandwidth.scale import clamp_bandwidth
 from repro.core.changepoints import detect_change_points
-from repro.core.hybrid_flat import (
-    FlatHybrid,
+from repro.core.kernel.boundary import boundary_density_scan, boundary_mass_scan
+from repro.core.kernel.flat import (
+    FlatLayout,
     bin_offsets,
     build_flat,
     flat_density,
     flat_selectivities,
 )
-from repro.core.kernel.boundary import boundary_density_scan, boundary_mass_scan
 from repro.data.domain import Interval
 
 if TYPE_CHECKING:
@@ -127,7 +131,8 @@ class HybridEstimator(DensityEstimator):
         self._n = int(values.size)
         self._edges = edges
         self._bins: list[Interval] = domain.subdivide(edges[1:-1])
-        self._weights = np.diff(offsets) / self._n
+        counts = np.diff(offsets)
+        self._weights = counts / self._n
         bandwidths = [
             self._bin_bandwidth(
                 sorted_values[offsets[k] : offsets[k + 1]], interval, bandwidth_rule
@@ -136,13 +141,13 @@ class HybridEstimator(DensityEstimator):
         ]
         is_kernel = np.array([bw is not None for bw in bandwidths], dtype=bool)
         h = np.array([1.0 if bw is None else bw for bw in bandwidths])
-        # Built once with unit coefficients to measure each bin's raw
-        # mass, then given its real ones (weight x renormalization).
-        unit = build_flat(
-            sorted_values, edges, offsets, np.ones(len(self._bins)), is_kernel, h
-        )
-        self._flat: FlatHybrid = dataclasses.replace(
-            unit, coeff=self._weights * self._bin_scale(unit)
+        # Built once with unit coefficients (each kernel bin normalized
+        # by its own sample count) to measure each bin's raw mass, then
+        # given its real ones (weight x renormalization).
+        unit_coeff = np.divide(1.0, counts, out=np.ones(counts.size), where=is_kernel)
+        unit = build_flat(sorted_values, edges, offsets, unit_coeff, is_kernel, h)
+        self._flat: FlatLayout = dataclasses.replace(
+            unit, coeff=unit_coeff * self._weights * self._bin_scale(unit)
         )
 
     @classmethod
@@ -224,7 +229,7 @@ class HybridEstimator(DensityEstimator):
         return bandwidth
 
     @staticmethod
-    def _bin_scale(unit: FlatHybrid) -> np.ndarray:
+    def _bin_scale(unit: FlatLayout) -> np.ndarray:
         """Renormalization factors making every bin's mass exactly 1.
 
         Boundary-kernel estimates are consistent but not densities

@@ -2,11 +2,17 @@
 
 * :mod:`repro.core.kernel.functions` — kernel functions with exact
   primitives (the paper's ``F_K``), second moments and roughness.
+* :mod:`repro.core.kernel.flat` — the one window engine every kernel
+  estimator answers through: segments of a sorted sample with
+  interior sums, optional Simonoff–Dong boundary regions and the
+  segmented window sums Algorithm 1's ``O(log n + k)`` path rests on.
+* :mod:`repro.core.kernel.moments` — prefix moments that make the
+  engine's interior Epanechnikov window sums O(1) per window.
 * :mod:`repro.core.kernel.estimator` — Algorithm 1: the kernel
-  selectivity estimator, with the sorted-sample ``O(log n + k)`` fast
-  path the paper sketches.
+  selectivity estimator, the engine's one-segment interior-only case.
 * :mod:`repro.core.kernel.boundary` — the two boundary treatments of
-  §3.2.1 (sample reflection and Simonoff–Dong boundary kernels).
+  §3.2.1 (sample reflection and Simonoff–Dong boundary kernels), each
+  one segment bounded by the domain, and their ``Theta(n)`` scans.
 * :mod:`repro.core.kernel.density` — pointwise density and derivative
   evaluation used by plug-in rules and change-point detection.
 """

@@ -15,11 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.base import InvalidSampleError, validate_sample
-from repro.core.kernel.estimator import (
-    PickFn,
-    _validate_bandwidth,
-    segment_window_multi_sums,
-)
+from repro.core.kernel.estimator import _validate_bandwidth
+from repro.core.kernel.flat import PickFn, segment_window_multi_sums
 from repro.data.domain import Interval
 
 #: Hermite-polynomial factors of the standard normal density:

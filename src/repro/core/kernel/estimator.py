@@ -15,13 +15,15 @@ one bandwidth of a query endpoint need the primitive evaluated.  With
 the sample kept sorted this gives the ``O(log n + k)`` evaluation the
 paper sketches (``k`` = samples near the endpoints).
 
-The batch path is vectorized end to end: a whole query batch is
-answered with two ``searchsorted`` calls plus one flattened
-kernel-CDF evaluation over the per-endpoint windows, reduced by
-segmented sums (``np.add.reduceat``) — no Python-level per-query
-loop.  An exhaustive ``Theta(n)`` reference path
-(:meth:`KernelSelectivityEstimator.selectivity_scan`) keeps the fast
-path honest in tests.
+Every kernel estimator answers through one window engine,
+:mod:`repro.core.kernel.flat`: this estimator is its one-segment,
+interior-only case, built once in the constructor.  The engine
+answers a whole batch with two ``searchsorted`` calls per endpoint
+plus one flattened kernel-CDF evaluation over the windows (or O(1)
+prefix-moment sums for the Epanechnikov kernel), with no
+Python-level per-query loop.  An exhaustive ``Theta(n)`` reference
+path (:meth:`KernelSelectivityEstimator.selectivity_scan`) keeps it
+honest in tests.
 
 This class applies **no boundary treatment** — its estimates are
 biased near the domain edges, which is exactly the behaviour the
@@ -31,7 +33,7 @@ for the corrected estimators.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -45,15 +47,9 @@ from repro.core.base import (
     validate_query_batch,
     validate_sample,
 )
-from repro.core.kernel import moments as moments_mod
+from repro.core.kernel.flat import FlatLayout, build_flat, flat_density, flat_selectivities
 from repro.core.kernel.functions import EPANECHNIKOV, KernelFunction, get_kernel
 from repro.data.domain import Interval
-
-#: Cap on the flattened (query x window) work array of one vectorized
-#: pass.  Batches whose windows would exceed it are processed in query
-#: chunks, bounding peak memory at ~32 MB per intermediate array while
-#: staying fully vectorized inside each chunk.
-MAX_FLAT_WINDOW = 4_194_304
 
 
 def _validate_bandwidth(bandwidth: float) -> float:
@@ -61,112 +57,6 @@ def _validate_bandwidth(bandwidth: float) -> float:
     if not np.isfinite(bandwidth) or bandwidth <= 0:
         raise InvalidSampleError(f"bandwidth must be a positive finite number, got {bandwidth}")
     return bandwidth
-
-
-#: ``pick`` broadcasts a per-query array onto the flattened window
-#: layout; a window term maps ``(pick, sample_idx)`` to per-element
-#: kernel contributions.
-PickFn = Callable[[np.ndarray], np.ndarray]
-WindowTerm = Callable[[PickFn, np.ndarray], np.ndarray]
-#: Multi-term variant: ``prepare`` builds shared per-element state
-#: (e.g. the scaled offsets and one kernel evaluation) and each term
-#: maps that state to its per-element contributions.
-PrepareFn = Callable[[PickFn, np.ndarray], object]
-SharedTerm = Callable[[object], np.ndarray]
-
-
-def segment_window_sums(lo: np.ndarray, hi: np.ndarray, term: WindowTerm) -> np.ndarray:
-    """Per-window sums of a kernel term over sorted-sample windows.
-
-    For each window ``j`` spanning sample indices ``[lo[j], hi[j])``,
-    computes ``sum_i term(j, i)`` fully vectorized: the windows are
-    flattened into one index array, ``term`` is evaluated once over
-    the flat arrays, and the per-window sums come from a segmented
-    reduction.  Windows larger in aggregate than
-    :data:`MAX_FLAT_WINDOW` are processed in query chunks.
-
-    Parameters
-    ----------
-    lo, hi:
-        Window boundaries (``hi >= lo``), one pair per query/point.
-    term:
-        Callable ``term(pick, sample_idx) -> float array`` where
-        ``sample_idx`` is the flat array of window sample indices and
-        ``pick(arr)`` expands a per-window array to the flat layout
-        (``pick(arr)[k]`` is ``arr`` at the window the ``k``-th
-        flattened element belongs to).  The flat arrays ``term``
-        receives (and ``pick`` returns) are fresh, so it may mutate
-        them in place.
-    """
-
-    def prepare(pick: PickFn, sample_idx: np.ndarray) -> object:
-        return term(pick, sample_idx)
-
-    def identity(values: object) -> np.ndarray:
-        return values  # type: ignore[return-value]
-
-    return segment_window_multi_sums(lo, hi, prepare, [identity])[0]
-
-
-def segment_window_multi_sums(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    prepare: PrepareFn,
-    terms: "list[SharedTerm]",
-) -> "list[np.ndarray]":
-    """Per-window sums of several kernel terms sharing one evaluation.
-
-    Generalizes :func:`segment_window_sums` to terms that share
-    expensive per-element state — e.g. the Gaussian derivative stack,
-    where one ``exp`` evaluation feeds every Hermite order.
-    ``prepare(pick, sample_idx)`` is called once per chunk and its
-    result is handed to each ``terms[k]``, whose output is segment-
-    reduced into the ``k``-th returned array.  Terms must not mutate
-    the shared state they receive.
-    """
-    lo = np.asarray(lo, dtype=np.intp)
-    hi = np.asarray(hi, dtype=np.intp)
-    counts = hi - lo
-    out = [np.zeros(counts.shape, dtype=np.float64) for _ in terms]
-    if counts.size == 0:
-        return out
-    cumulative = np.cumsum(counts)
-    total = int(cumulative[-1])
-    if total == 0:
-        return out
-    start = 0
-    while start < counts.size:
-        base = int(cumulative[start - 1]) if start else 0
-        stop = int(np.searchsorted(cumulative, base + MAX_FLAT_WINDOW, side="right")) + 1
-        stop = max(start + 1, min(stop, counts.size))
-        chunk_counts = counts[start:stop]
-        chunk_total = int(cumulative[stop - 1]) - base
-        if chunk_total:
-            # Exclusive prefix sums double as the segment boundaries for
-            # the reduction and the flattening shift: element ``k`` of
-            # window ``j`` lands at flat position ``prefix[j] + k``, so
-            # one ``repeat`` of ``lo - prefix`` plus one ``arange``
-            # yields every window's sample indices at once.
-            prefix = np.concatenate(([0], np.cumsum(chunk_counts)[:-1]))
-            sample_idx = np.arange(chunk_total) + np.repeat(
-                lo[start:stop] - prefix, chunk_counts
-            )
-
-            def pick(
-                arr: np.ndarray,
-                _s: int = start,
-                _e: int = stop,
-                _c: np.ndarray = chunk_counts,
-            ) -> np.ndarray:
-                return np.repeat(arr[_s:_e], _c)
-
-            shared = prepare(pick, sample_idx)
-            nonempty = chunk_counts > 0
-            for k, term in enumerate(terms):
-                values = term(shared)
-                out[k][start:stop][nonempty] = np.add.reduceat(values, prefix[nonempty])
-        start = stop
-    return out
 
 
 class KernelSelectivityEstimator(DensityEstimator):
@@ -186,6 +76,13 @@ class KernelSelectivityEstimator(DensityEstimator):
         Optional attribute domain (validation, CDF origin).
     """
 
+    #: Boundary treatment, as :func:`~repro.core.kernel.boundary.make_kernel_estimator`
+    #: names it.  The untreated estimator is one unbounded segment of
+    #: the window engine; the treated subclasses bound it by the domain
+    #: (queries and points are clipped to it), and ``"kernel"`` adds the
+    #: Simonoff–Dong boundary regions within ``h`` of each edge.
+    _treatment: ClassVar[str] = "none"
+
     def __init__(
         self,
         sample: np.ndarray,
@@ -193,28 +90,35 @@ class KernelSelectivityEstimator(DensityEstimator):
         kernel: "KernelFunction | str" = EPANECHNIKOV,
         domain: Interval | None = None,
     ) -> None:
-        self._sorted = np.sort(validate_sample(sample, domain))
-        self._sorted.flags.writeable = False
+        values = validate_sample(sample, domain)
         self._h = _validate_bandwidth(bandwidth)
         self._kernel = get_kernel(kernel)
         self._domain = domain
-        # Normalizing count: equals the stored sample size here, but the
-        # reflection estimator stores mirrored copies while normalizing
-        # by the original n (the mirrored mass belongs to its source
-        # sample, paper §3.2.1).
-        self._norm = int(self._sorted.size)
-        # Prefix-moment O(1) window sums (Epanechnikov only; eager so
-        # the estimator stays frozen after build).  The precision gate
-        # keeps the polynomial-expansion cancellation far below 1e-12;
-        # samples too spread out for it use per-sample window sums.
-        self._moments: moments_mod.PrefixMoments | None = None
-        if (
-            self._kernel.name == "epanechnikov"
-            and self._sorted.size > 0
-            and moments_mod.half_spread(self._sorted)
-            <= moments_mod.MOMENT_MAX_RATIO * self._h
-        ):
-            self._moments = moments_mod.build_moments(self._sorted)
+        # Normalizing count: the sample size, even where the stored
+        # sample holds more (the reflection estimator's mirrored copies
+        # carry their source samples' mass, paper §3.2.1).
+        self._norm = int(values.size)
+        edges = np.array([-np.inf, np.inf])
+        if domain is not None and self._treatment != "none":
+            edges = np.array([domain.low, domain.high])
+            values = self._stored_sample(values, domain)
+        self._sorted = np.sort(values)
+        self._sorted.flags.writeable = False
+        stored = self._sorted.size
+        self._flat: FlatLayout = build_flat(
+            self._sorted,
+            edges,
+            np.array([0, stored]),
+            np.array([1.0 / self._norm]),
+            np.ones(1, dtype=bool),
+            np.array([self._h]),
+            kernel=self._kernel,
+            regions=self._treatment == "kernel",
+        )
+
+    def _stored_sample(self, values: np.ndarray, domain: Interval) -> np.ndarray:
+        """The sample a treated estimator's segment holds (hook)."""
+        return values
 
     @classmethod
     def from_summary(
@@ -256,62 +160,19 @@ class KernelSelectivityEstimator(DensityEstimator):
         """The sorted sample (read-only view)."""
         return self._sorted
 
-    def _cdf_sums(self, x: np.ndarray) -> np.ndarray:
-        """``sum_i C((x_j - X_i) / h)`` for every point of flat ``x``.
-
-        Samples more than one kernel reach below ``x`` contribute
-        exactly 1 (counted via ``searchsorted``), samples above the
-        reach contribute 0; only the window in between evaluates the
-        kernel primitive — in O(1) per point through the prefix
-        moments when available, else per sample.
-        """
-        sample, h = self._sorted, self._h
-        reach = h * self._kernel.support
-        lo = np.searchsorted(sample, x - reach, side="left")
-        hi = np.searchsorted(sample, x + reach, side="right")
-        inv_h = 1.0 / h
-        if self._moments is not None:
-            return lo + moments_mod.epan_cdf_sums(self._moments, x, inv_h, lo, hi)
-
-        def term(pick: PickFn, i: np.ndarray) -> np.ndarray:
-            t = pick(x)
-            t -= sample[i]
-            t *= inv_h
-            return self._kernel.cdf(t)
-
-        return lo + segment_window_sums(lo, hi, term)
-
     def density(self, x: np.ndarray) -> np.ndarray:
-        """Pointwise KDE ``(1 / nh) * sum K((x - X_i) / h)``, vectorized."""
+        """Pointwise KDE ``(1 / nh) * sum K((x - X_i) / h)``, vectorized.
+
+        The treated estimators are zero outside the domain, and the
+        boundary-kernel estimator applies its boundary kernels within
+        ``h`` of each edge.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        flat = np.ascontiguousarray(x.ravel())
-        sample, h = self._sorted, self._h
-        reach = h * self._kernel.support
-        lo = np.searchsorted(sample, flat - reach, side="left")
-        hi = np.searchsorted(sample, flat + reach, side="right")
-        if self._moments is not None:
-            sums = moments_mod.epan_pdf_sums(self._moments, flat, 1.0 / h, lo, hi)
-        else:
-            sums = segment_window_sums(
-                lo, hi, lambda pick, i: self._kernel.pdf((pick(flat) - sample[i]) / h)
-            )
-        return (sums / (self._norm * h)).reshape(x.shape)
+        return flat_density(self._flat, x.ravel()).reshape(x.shape)
 
     def selectivity(self, a: float, b: float) -> float:
         a, b = validate_query(a, b)
         return float(self.selectivities(np.array([a]), np.array([b]))[0])
-
-    def raw_selectivities(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Unclipped batch selectivities (may exit ``[0, 1]`` by fp noise).
-
-        The building block :meth:`selectivities` clips; the hybrid
-        estimator uses the raw values to renormalize per-bin mass.
-        Endpoints must already be validated ``float64`` arrays.
-        """
-        flat_a = np.ascontiguousarray(a.ravel())
-        flat_b = np.ascontiguousarray(b.ravel())
-        totals = self._cdf_sums(flat_b) - self._cdf_sums(flat_a)
-        return (totals / self._norm).reshape(a.shape)
 
     def selectivities(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorized Algorithm 1 over a batch of queries.
@@ -323,7 +184,8 @@ class KernelSelectivityEstimator(DensityEstimator):
         segmented window sums.
         """
         a, b = validate_query_batch(a, b)
-        return np.clip(self.raw_selectivities(a, b), 0.0, 1.0)
+        total = flat_selectivities(self._flat, a.ravel(), b.ravel())
+        return np.clip(total, 0.0, 1.0).reshape(a.shape)
 
     def selectivity_scan(self, a: float, b: float) -> float:
         """Reference ``Theta(n)`` evaluation (the literal Algorithm 1 loop).

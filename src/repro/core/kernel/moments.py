@@ -1,6 +1,6 @@
 """Prefix-moment evaluation of Epanechnikov window sums in O(1)/window.
 
-The windowed fast path of :mod:`repro.core.kernel.estimator` still
+The per-sample window path of :mod:`repro.core.kernel.flat` still
 touches every sample within one bandwidth of a query endpoint.  For
 the smooth-bandwidth regimes the paper's protocol lands in (normal
 scale or plug-in bandwidths on n = 2,000 samples), those windows cover
@@ -37,13 +37,16 @@ value, instead of accumulating ``O(n)`` rounding), and the path is
 only used when ``half-spread / h`` is modest
 (:data:`MOMENT_MAX_RATIO`); beyond the cutoff the windows are narrow
 and the per-sample path is both cheap and exact.
-``tests/test_hybrid_flat.py`` checks the flat hybrid built on these
-sums against the ``Theta(n)`` direct-sum oracle to 1e-12.
+``tests/test_hybrid_flat.py`` and ``tests/test_properties.py`` check
+the estimators built on these sums against their ``Theta(n)`` scans
+to 1e-12.
 
-Segments generalize the single-sample case: the flat hybrid keeps one
-concatenated sorted sample with per-bin offsets, and each bin gets its
-own zero-based prefix run (one padding slot per bin), so window sums
-never mix bins and carry no cross-bin rounding noise.
+The window engine (:mod:`repro.core.kernel.flat`) is this module's
+only caller.  It keeps one sorted sample split into segments (one for
+a plain kernel estimator, one per bin for the hybrid), and each
+segment gets its own zero-based prefix run (one padding slot per
+segment), so window sums never mix segments and carry no
+cross-segment rounding noise.
 """
 
 from __future__ import annotations
@@ -151,13 +154,6 @@ def build_moments(
         squared *= centered
         p3[base : base + (hi - lo)] = compensated_cumsum(squared)
     return PrefixMoments(offsets=offsets, center=centers, p1=p1, p2=p2, p3=p3)
-
-
-def half_spread(sorted_values: np.ndarray) -> float:
-    """Half the range of a sorted sample (0 when empty)."""
-    if sorted_values.size == 0:
-        return 0.0
-    return 0.5 * float(sorted_values[-1] - sorted_values[0])
 
 
 def epan_cdf_sums(

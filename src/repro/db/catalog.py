@@ -261,13 +261,11 @@ class Catalog:
         self._version += 1
         self.staleness.on_analyze(table.name, self._version)
         self._emit_version_gauge(table.name, table_version)
-        # Drift baselines come from the sample this ANALYZE actually
-        # drew.  A full statistics-cache hit never touches the table
-        # (rows stays None); the existing baselines remain valid in
-        # that case because the cache key includes the data fingerprint.
-        if rows is not None:
-            for column in table.column_names:
-                self.drift.set_baseline(table.name, column, rows[column])
+        # Drift baselines come from the columns' new summaries, the
+        # same source refresh() re-baselines from, so an ANALYZE served
+        # entirely from the statistics cache still gets one.
+        for (_, column), summary in new_summaries.items():
+            self.drift.set_baseline(table.name, column, summary.freeze().sample)
 
     @property
     def version(self) -> int:
@@ -498,6 +496,7 @@ class Catalog:
             telemetry.metrics.inc(f"cache.invalidate.{_STATISTICS_CACHE.name}")
         self._version += 1
         self.staleness.forget(table_name)
+        self.drift.forget(table_name)
 
     def has_statistics(self, table_name: str) -> bool:
         """Whether ANALYZE has run for the table."""

@@ -31,7 +31,7 @@ from repro.core.base import (
     validate_sample,
     validate_query_batch,
 )
-from repro.core.kernel.estimator import PickFn, segment_window_sums
+from repro.core.kernel.flat import PickFn, segment_window_sums
 from repro.core.kernel.functions import EPANECHNIKOV, KernelFunction, get_kernel
 from repro.data.domain import Interval
 from repro.telemetry import get_telemetry

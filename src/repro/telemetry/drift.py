@@ -158,6 +158,13 @@ class DriftMonitor:
                 self._capacity, seed=zlib.crc32(f"{table}|{column}|drift".encode()) & 0x7FFFFFFF
             )
 
+    def forget(self, table: str) -> None:
+        """Drop the table's baselines and recent windows (statistics were invalidated)."""
+        with self._lock:
+            for key in [key for key in self._baselines if key[0] == table]:
+                del self._baselines[key]
+                self._reservoirs.pop(key, None)
+
     def has_baseline(self, table: str, column: str) -> bool:
         """Whether a build-time baseline is stored for the pair."""
         with self._lock:

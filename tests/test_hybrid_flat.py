@@ -1,8 +1,8 @@
 """The flat hybrid query path vs the ``Theta(n)`` oracle.
 
 The contract under test: ``HybridEstimator.selectivities`` /
-``density`` answered through the contiguous flat layout
-(:mod:`repro.core.hybrid_flat`) must match the direct per-bin sums of
+``density`` answered through the kernel window engine
+(:mod:`repro.core.kernel.flat`) must match the direct per-bin sums of
 ``selectivities_reference`` / ``density_reference`` to 1e-12 —
 including the awkward inputs (zero-width queries, queries pinned on
 bin edges, single-bin partitions, uniform-fallback bins) — while the
@@ -16,14 +16,13 @@ import pytest
 from repro.bandwidth.normal_scale import kernel_bandwidth
 from repro.core.base import EstimatorError
 from repro.core.hybrid import MIN_KERNEL_SAMPLES, HybridEstimator
-from repro.core.hybrid_flat import bin_offsets
+from repro.core.kernel.flat import bin_offsets
 from repro.core.kernel.moments import (
     MOMENT_MAX_RATIO,
     build_moments,
     compensated_cumsum,
     epan_cdf_sums,
     epan_pdf_sums,
-    half_spread,
 )
 from repro.data.domain import Interval
 
@@ -196,7 +195,7 @@ class TestMoments:
     def test_cdf_sums_match_direct(self):
         rng = np.random.default_rng(1)
         values = np.sort(rng.uniform(-4.0, 4.0, 512))
-        h = 1.0 / MOMENT_MAX_RATIO * half_spread(values) * 2.0  # well in range
+        h = 1.0 / MOMENT_MAX_RATIO * 0.5 * np.ptp(values) * 2.0  # well in range
         moments = build_moments(values)
         x = rng.uniform(-4.0, 4.0, 64)
         lo = np.searchsorted(values, x - h, side="left")

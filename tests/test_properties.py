@@ -20,6 +20,7 @@ from repro import estimators
 from repro.core.base import InvalidQueryError
 from repro.core.histogram.bins import PiecewiseConstantDensity
 from repro.core.kernel import KernelSelectivityEstimator, make_kernel_estimator
+from repro.core.kernel.boundary import boundary_density_scan
 from repro.core.kernel.functions import KERNELS
 from repro.data.domain import Interval
 
@@ -248,22 +249,17 @@ class TestBatchScanEquivalence:
         np.testing.assert_allclose(est.selectivities(a, b), scan, atol=1e-12)
 
     @given(sample=samples, batch=query_batches)
+    @example(
+        sample=np.linspace(1.0, 99.0, 16),
+        batch=(np.array([-10.0, 98.0]), np.array([2.0, 150.0])),
+    )
     @settings(max_examples=15, deadline=None)
     def test_reflection_batch_matches_scan(self, sample, batch):
-        # The reflection estimator clips queries to the domain; on the
-        # clipped queries its batch path must equal the scan over the
-        # augmented (mirrored) sample.
+        # Both paths clip queries to the domain: the mirrored copies
+        # outside it carry mass neither may count.
         est = make_kernel_estimator(sample, 4.0, DOMAIN, boundary="reflection")
         a, b = batch
-        scan = np.array(
-            [
-                est.selectivity_scan(
-                    float(np.clip(x, DOMAIN.low, DOMAIN.high)),
-                    float(np.clip(y, DOMAIN.low, DOMAIN.high)),
-                )
-                for x, y in zip(a, b)
-            ]
-        )
+        scan = np.array([est.selectivity_scan(x, y) for x, y in zip(a, b)])
         np.testing.assert_allclose(est.selectivities(a, b), scan, atol=1e-12)
 
     @given(sample=samples, batch=query_batches)
@@ -275,6 +271,20 @@ class TestBatchScanEquivalence:
         a, b = batch
         scan = np.array([est.selectivity_scan(x, y) for x, y in zip(a, b)])
         np.testing.assert_allclose(est.selectivities(a, b), scan, atol=1e-12)
+
+    @given(
+        sample=samples,
+        h=st.floats(0.1, DOMAIN.width / 2.0),
+        x=st.lists(st.floats(-20.0, 120.0, allow_nan=False), min_size=1, max_size=40),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_boundary_density_matches_scan(self, sample, h, x):
+        # Up to h = width / 2 the two boundary regions meet and leave no
+        # interior; both edges are always among the points.
+        est = make_kernel_estimator(sample, h, DOMAIN, boundary="kernel")
+        points = np.array(x + [DOMAIN.low, DOMAIN.high])
+        scan = np.array([boundary_density_scan(sample, h, DOMAIN, p) for p in points])
+        np.testing.assert_allclose(est.density(points), scan / (sample.size * h), atol=1e-12)
 
     @pytest.mark.parametrize("boundary", ("none", "reflection", "kernel"))
     @given(sample=samples, batch=query_batches)

@@ -214,6 +214,33 @@ class TestCatalogAndPlannerWiring:
         catalog.invalidate("points")
         assert catalog.staleness_of("points") is None
 
+    def test_invalidate_forgets_drift_baseline(self, setup):
+        catalog, _, _, _ = setup
+        catalog.invalidate("points")
+        assert not catalog.drift.has_baseline("points", "x")
+        shifted = np.random.default_rng(2).uniform(900, 1_000, 200)
+        assert catalog.observe_values("points", "x", shifted) is None
+        assert catalog.drift.snapshot() == {}
+
+    def test_cached_analyze_sets_drift_baseline(self):
+        # The second catalog's ANALYZE is served from the process-wide
+        # statistics cache and draws no rows; it must still be able to
+        # see drift, against the same baseline as the first.
+        from repro.db import Catalog, Table
+
+        domain = Interval(0.0, 1_000.0)
+        values = np.random.default_rng(3).uniform(0, 1_000, 5_000)
+        table = Table("cached_points", {"x": (values, domain)})
+        shifted = np.random.default_rng(2).uniform(900, 1_000, 600)
+        readings = []
+        for _ in range(2):
+            catalog = Catalog("equi-depth", 500)
+            catalog.analyze(table, seed=0)
+            assert catalog.drift.has_baseline("cached_points", "x")
+            readings.append(catalog.observe_values("cached_points", "x", shifted))
+        assert readings[0] is not None and readings[1] is not None
+        assert readings[1].ks == readings[0].ks > 0.5
+
     def test_observe_actual_records_quality_by_table(self, setup):
         _, planner, table, RangePredicate = setup
         predicates = [RangePredicate("x", 100.0, 200.0)]
