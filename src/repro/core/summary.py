@@ -246,6 +246,11 @@ class ColumnSummary:
         return self._grid_bins
 
     @property
+    def grid_counts(self) -> np.ndarray:
+        """Live per-bin row counts of the CDF sketch (read-only copy)."""
+        return _readonly(self._grid)
+
+    @property
     def row_count(self) -> int:
         """Live rows currently represented (inserts minus deletes)."""
         return self._count

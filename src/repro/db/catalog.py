@@ -16,9 +16,11 @@ summaries — O(delta + reservoir) instead of the O(n) rescan — falling
 back to a full rebuild once the changed-row fraction exceeds the
 staleness budget, the delta log was compacted, deletions outran the
 reservoir, or joint statistics are involved.
-:meth:`Catalog.maintain` drives the policy: the drift monitor's KS
-readings and the table's statistics-version lag decide which tables
-get refreshed, so only drifted tables pay for a rebuild.
+:meth:`Catalog.maintain` drives the policy: tables whose statistics
+version lags are refreshed, and a column whose live summary grid has
+moved past the KS threshold from its grid at the last full ANALYZE
+(:meth:`Catalog.drift_of`) escalates its table to one rescan, so only
+drifted tables pay for a rebuild.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ import numpy as np
 
 from repro import estimators
 from repro.core.base import InvalidQueryError, InvalidSampleError, SelectivityEstimator
-from repro.core.summary import ColumnSummary, FrozenSummary
+from repro.core.summary import ColumnSummary
 from repro.db.cache import MISS, LRUCache
 from repro.db.table import StaleDeltaLog, Table
 from repro.multidim import KernelEstimator2D, plugin_bandwidths_2d
-from repro.telemetry.drift import DriftMonitor, DriftReading, Staleness, StalenessMonitor
+from repro.telemetry.drift import Staleness, StalenessMonitor, grid_ks
 from repro.telemetry.runtime import get_telemetry
 
 #: Estimator families ANALYZE can build, by name.
@@ -57,6 +59,15 @@ FAMILIES = {
 #: fingerprint and misses naturally, while :meth:`Catalog.invalidate`
 #: evicts explicitly.
 _STATISTICS_CACHE = LRUCache(capacity=256, name="statistics")
+
+#: Process-wide ANALYZE summary cache: the full-column
+#: :class:`~repro.core.summary.ColumnSummary` scan keyed by
+#: ``(table name, table fingerprint, sample size, column)``.  It does
+#: not depend on the estimator family or the sampling seed, so every
+#: catalog analyzing the same data shares one scan.  Cached summaries
+#: are shared objects: an installed summary is never mutated in place
+#: (refresh stages a ``copy()``, fork deep-copies).
+_SUMMARY_CACHE = LRUCache(capacity=64, name="summaries")
 
 
 def _seed_cache_key(seed: "int | np.integer | np.random.Generator | None") -> "tuple | None":
@@ -105,20 +116,19 @@ class Catalog:
         self._version = 0
         # Incremental-refresh state: live mergeable summaries per
         # (table, column), the table statistics version they have
-        # absorbed, the row count at the last full rebuild and the
-        # rows changed since (the staleness-budget numerator), plus
-        # the ANALYZE parameters needed to repeat a full rebuild.
+        # absorbed, the row count and per-column summary grid counts
+        # at the last full rebuild (the drift baseline), the rows
+        # changed since (the staleness-budget numerator), plus the
+        # ANALYZE parameters needed to repeat a full rebuild.
         self._summaries: dict[tuple[str, str], ColumnSummary] = {}
         self._applied: dict[str, int] = {}
         self._base_rows: dict[str, int] = {}
+        self._base_grids: dict[str, dict[str, np.ndarray]] = {}
         self._changed_rows: dict[str, int] = {}
         self._analyze_seeds: dict[str, "int | None"] = {}
         self._joint_specs: dict[str, "list[tuple[str, str]]"] = {}
-        # Serving-grade monitors: every ANALYZE stamps the staleness
-        # monitor and (when it actually drew a sample) baselines the
-        # drift monitor, so a long-lived catalog can report how old and
-        # how wrong its statistics have become.
-        self.drift = DriftMonitor()
+        # Every ANALYZE and refresh stamps the staleness monitor, so a
+        # long-lived catalog can report how old its statistics are.
         self.staleness = StalenessMonitor()
 
     @property
@@ -216,20 +226,22 @@ class Catalog:
                 if key is not None:
                     _STATISTICS_CACHE.put(key, statistic)
             new_joints[(table.name, x, y)] = statistic
-        # Delta-aware substrate: rebuild the live mergeable summaries
-        # from the full columns (one vectorized O(n) pass each) so
-        # subsequent mutations can be folded in incrementally by
-        # refresh() instead of repeating this scan.
+        # Delta-aware substrate: the live mergeable summaries of the
+        # full columns (one vectorized O(n) pass each, shared by every
+        # catalog analyzing the same data) so subsequent mutations can
+        # be folded in incrementally by refresh() instead of repeating
+        # this scan.
         table_version = table.statistics_version
         new_summaries: dict[tuple[str, str], ColumnSummary] = {}
         for column in table.column_names:
-            summary = ColumnSummary(
-                table.domain(column),
-                seed=self._summary_seed(table.name, column),
-                capacity=n,
+            new_summaries[(table.name, column)] = _SUMMARY_CACHE.get_or_build(
+                (table.name, table.fingerprint, n, column),
+                lambda column=column: ColumnSummary(
+                    table.domain(column),
+                    seed=self._summary_seed(table.name, column),
+                    capacity=n,
+                ).update(table.column(column)),
             )
-            summary.update(table.column(column))
-            new_summaries[(table.name, column)] = summary
         # Atomic install: replace the table's statistics with one
         # reference swap per map (reads racing this see old-or-new,
         # never a mixture; nothing above mutated catalog state, so a
@@ -252,6 +264,12 @@ class Catalog:
         self._row_counts = {**self._row_counts, table.name: table.row_count}
         self._applied = {**self._applied, table.name: table_version}
         self._base_rows = {**self._base_rows, table.name: table.row_count}
+        self._base_grids = {
+            **self._base_grids,
+            table.name: {
+                column: summary.grid_counts for (_, column), summary in new_summaries.items()
+            },
+        }
         self._changed_rows = {**self._changed_rows, table.name: 0}
         self._analyze_seeds = {
             **self._analyze_seeds,
@@ -261,11 +279,7 @@ class Catalog:
         self._version += 1
         self.staleness.on_analyze(table.name, self._version)
         self._emit_version_gauge(table.name, table_version)
-        # Drift baselines come from the columns' new summaries, the
-        # same source refresh() re-baselines from, so an ANALYZE served
-        # entirely from the statistics cache still gets one.
-        for (_, column), summary in new_summaries.items():
-            self.drift.set_baseline(table.name, column, summary.freeze().sample)
+        self._emit_drift(table.name)
 
     @property
     def version(self) -> int:
@@ -299,11 +313,11 @@ class Catalog:
             a per-column summary cannot provide).
 
         ``seed`` is only needed for the full path; it defaults to the
-        seed recorded by the previous ``analyze``.
+        seed recorded by the previous ``analyze``.  Incremental refresh
+        leaves the drift baseline (the last full ANALYZE's summary
+        grids) alone, so :meth:`drift_of` keeps measuring against it.
         """
         name = table.name
-        if seed is None:
-            seed = self._analyze_seeds.get(name)
         applied = self._applied.get(name)
         if not self.has_statistics(name) or applied is None:
             return self._full_refresh(table, seed)
@@ -327,7 +341,6 @@ class Catalog:
         build = FAMILIES[self._family]
         staged: dict[tuple[str, str], ColumnSummary] = {}
         rebuilt: dict[tuple[str, str], SelectivityEstimator] = {}
-        frozen_by_column: dict[str, FrozenSummary] = {}
         try:
             for column in table.column_names:
                 live = self._summaries.get((name, column))
@@ -349,7 +362,6 @@ class Catalog:
                         working.delete(batch)
                 frozen = working.freeze()
                 staged[(name, column)] = working
-                frozen_by_column[column] = frozen
                 rebuilt[(name, column)] = build(frozen, table.domain(column))
         except InvalidSampleError:
             # Degenerate summaries (e.g. deletions emptied a reservoir)
@@ -362,13 +374,9 @@ class Catalog:
         self._changed_rows = {**self._changed_rows, name: changed}
         self._version += 1
         self.staleness.on_analyze(name, self._version)
-        # Re-baseline drift on the refreshed summary samples: the new
-        # statistics now represent the mutated data, so KS must be
-        # measured against them, not the superseded ANALYZE sample.
-        for column, frozen in frozen_by_column.items():
-            self.drift.set_baseline(name, column, frozen.sample)
         self._emit_refresh("incremental")
         self._emit_version_gauge(name, table.statistics_version)
+        self._emit_drift(name)
         return "incremental"
 
     def maintain(
@@ -377,57 +385,56 @@ class Catalog:
         ks_threshold: float = 0.15,
         seed: "int | np.random.Generator | None" = None,
     ) -> "dict[str, str]":
-        """Drift- and lag-triggered selective refresh.
+        """Lag- and drift-triggered selective refresh.
 
-        For every analyzed table, consult the KS drift readings of its
-        columns and its statistics-version lag; refresh only the
-        tables that drifted past ``ks_threshold`` or have unabsorbed
-        mutations — the rest keep their statistics untouched.  Returns
-        the mode per table (``"fresh"`` when nothing was needed).
-        Drift-triggered refreshes additionally count on
-        ``catalog.refresh.drift``.
+        For every analyzed table, first refresh it if its statistics
+        version lags the table's (unabsorbed mutations), then escalate
+        it to one full rescan if any column's :meth:`drift_of` reading
+        is at or above ``ks_threshold`` — the live data moved too far
+        from what the last full ANALYZE sampled for the incremental
+        summaries to stand in for it.  The rescan resets the baseline,
+        so one rebuild settles the alarm.  Returns the mode per table
+        (``"fresh"`` when nothing was needed).  Drift-triggered
+        rescans additionally count on ``catalog.refresh.drift``.
         """
         modes: dict[str, str] = {}
         for table in tables:
             name = table.name
             if not self.has_statistics(name):
                 continue
-            drifted = any(
-                (reading := self.drift.reading(name, column)) is not None
-                and reading.ks >= ks_threshold
-                for column in table.column_names
-            )
-            lagging = self._applied.get(name) != table.statistics_version
-            if drifted or lagging:
+            mode = "fresh"
+            if self._applied.get(name) != table.statistics_version:
                 mode = self.refresh(table, seed=seed)
-                if mode == "fresh" and drifted:
-                    # The statistics cover the table's current version,
-                    # yet the observed workload drifted past the KS
-                    # threshold — the build-time sample misrepresents
-                    # the data (unlucky draw, or mutations the delta
-                    # log cannot explain).  Rescan; analyze() also
-                    # re-baselines the drift monitor so one rebuild
-                    # settles the alarm instead of re-firing forever.
-                    mode = self._full_refresh(
-                        table,
-                        seed if seed is not None else self._analyze_seeds.get(name),
-                    )
-                modes[name] = mode
-                if drifted:
-                    self._emit_refresh("drift")
-            else:
-                modes[name] = "fresh"
+            if max(self.drift_of(name).values(), default=0.0) >= ks_threshold:
+                mode = self._full_refresh(table, seed)
+                self._emit_refresh("drift")
+            modes[name] = mode
         return modes
+
+    def drift_of(self, table_name: str) -> "dict[str, float]":
+        """KS drift per column since the table's last full ANALYZE.
+
+        ``max |F_base - F_live|`` over the summary grid edges, between
+        the grid counts the last full ANALYZE built and the live
+        summary's.  O(bins), exact under deletes, and independent of
+        how the absorbed mutations were split or merged.  Empty when
+        the table has no statistics.
+        """
+        return {
+            column: grid_ks(base, self._summaries[(table_name, column)].grid_counts)
+            for column, base in self._base_grids.get(table_name, {}).items()
+        }
 
     def fork(self) -> "Catalog":
         """Copy-on-refresh clone for atomic snapshot publication.
 
         The fork shares the (immutable, frozen-after-build) estimator
-        objects and the thread-safe drift/staleness monitors, but
-        deep-copies the live mergeable summaries — so refreshing the
-        fork never mutates state referenced by an already-published
-        serving snapshot, and readers pinned to the old snapshot keep
-        a consistent statistics set.
+        objects and the thread-safe staleness monitor, but copies the
+        drift baselines and deep-copies the live mergeable summaries —
+        so refreshing the fork never mutates state referenced by an
+        already-published serving snapshot or by the original catalog,
+        and readers pinned to the old snapshot keep a consistent
+        statistics set.
         """
         out = Catalog(self._family, self._sample_size, self._staleness_budget)
         out._column_stats = dict(self._column_stats)
@@ -437,14 +444,16 @@ class Catalog:
         out._summaries = {key: summary.copy() for key, summary in self._summaries.items()}
         out._applied = dict(self._applied)
         out._base_rows = dict(self._base_rows)
+        out._base_grids = dict(self._base_grids)
         out._changed_rows = dict(self._changed_rows)
         out._analyze_seeds = dict(self._analyze_seeds)
         out._joint_specs = {name: list(spec) for name, spec in self._joint_specs.items()}
-        out.drift = self.drift
         out.staleness = self.staleness
         return out
 
     def _full_refresh(self, table: Table, seed: "int | np.random.Generator | None") -> str:
+        if seed is None:
+            seed = self._analyze_seeds.get(table.name)
         self.analyze(table, joint=self._joint_specs.get(table.name), seed=seed)
         self._emit_refresh("full")
         return "full"
@@ -453,6 +462,12 @@ class Catalog:
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.metrics.inc(f"catalog.refresh.{mode}")
+
+    def _emit_drift(self, table_name: str) -> None:
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            for column, ks in self.drift_of(table_name).items():
+                telemetry.metrics.set_gauge(f"drift.ks.{table_name}.{column}", ks)
 
     def _emit_version_gauge(self, table_name: str, version: int) -> None:
         telemetry = get_telemetry()
@@ -464,10 +479,11 @@ class Catalog:
     def invalidate(self, table_name: str) -> None:
         """Drop all statistics for a table (explicit data-change hook).
 
-        Removes the catalog's own statistics *and* evicts the table's
-        entries from the shared ANALYZE cache, so a subsequent
-        ``analyze`` rebuilds from scratch even if the replacement data
-        happens to collide on name and sample parameters.  Emits the
+        Removes the catalog's own statistics and drift baselines *and*
+        evicts the table's entries from the shared ANALYZE statistics
+        and summary caches, so a subsequent ``analyze`` rebuilds from
+        scratch even if the replacement data happens to collide on
+        name and sample parameters.  Emits the
         ``cache.invalidate`` counter (plus the per-cache
         ``cache.invalidate.statistics`` segment) so eviction traffic
         is visible next to the hit/miss series.
@@ -489,31 +505,21 @@ class Catalog:
         self._applied = {
             name: version for name, version in self._applied.items() if name != table_name
         }
+        self._base_grids = {
+            name: grids for name, grids in self._base_grids.items() if name != table_name
+        }
         _STATISTICS_CACHE.evict(lambda key: key[0] == table_name)
+        _SUMMARY_CACHE.evict(lambda key: key[0] == table_name)
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.metrics.inc("cache.invalidate")
             telemetry.metrics.inc(f"cache.invalidate.{_STATISTICS_CACHE.name}")
         self._version += 1
         self.staleness.forget(table_name)
-        self.drift.forget(table_name)
 
     def has_statistics(self, table_name: str) -> bool:
         """Whether ANALYZE has run for the table."""
         return table_name in self._row_counts
-
-    def observe_values(
-        self, table_name: str, column: str, values: np.ndarray
-    ) -> "DriftReading | None":
-        """Feed recently seen attribute values to the drift monitor.
-
-        Call this from wherever fresh data is visible (ingest paths,
-        executed scans, the feedback loop); once enough values
-        accumulate, the KS distance against the build-time sample is
-        available via the returned reading and (in traced runs) the
-        ``drift.ks.<table>.<column>`` gauge.
-        """
-        return self.drift.ingest(table_name, column, values)
 
     def staleness_of(self, table_name: str) -> "Staleness | None":
         """Current staleness of the table's statistics, if stamped."""

@@ -392,11 +392,12 @@ class EstimationService:
     def maintain(self, *, ks_threshold: float = 0.15) -> "dict[str, dict[str, str]]":
         """Drift-triggered selective refresh across all registered tables.
 
-        Each tier's catalog decides per table whether its statistics
-        drifted (KS distance against the frozen baseline) or lag the
-        table's statistics version; only those tables are refreshed.
-        One atomic snapshot publish covers everything that changed —
-        no publish at all when every table is fresh.  Returns
+        Each tier's catalog refreshes the tables whose statistics
+        version lags and rescans those whose summary grid drifted past
+        ``ks_threshold`` since the last full ANALYZE
+        (:meth:`repro.db.catalog.Catalog.maintain`); the rest are left
+        alone.  One atomic snapshot publish covers everything that
+        changed — no publish at all when every table is fresh.  Returns
         ``{table: {family: mode}}``.
         """
         payload = dict(self._store.current().payload)

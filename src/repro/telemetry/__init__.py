@@ -60,14 +60,7 @@ from repro.telemetry.quality import (
     record_quality,
     record_quality_batch,
 )
-from repro.telemetry.drift import (
-    DriftMonitor,
-    DriftReading,
-    ReservoirSample,
-    Staleness,
-    StalenessMonitor,
-    ks_distance,
-)
+from repro.telemetry.drift import Staleness, StalenessMonitor, grid_ks
 from repro.telemetry.slo import (
     DEFAULT_SLOS,
     SERVING_SLOS,
@@ -93,8 +86,6 @@ __all__ = [
     "BenchmarkExporter",
     "DEFAULT_SLOS",
     "HIGHER_IS_BETTER_KINDS",
-    "DriftMonitor",
-    "DriftReading",
     "JsonlEventLog",
     "MANIFEST_SCHEMA",
     "MetricsRegistry",
@@ -102,7 +93,6 @@ __all__ = [
     "QualityRecord",
     "QualityTracker",
     "QuantileSketch",
-    "ReservoirSample",
     "SERVING_SLOS",
     "SLOResult",
     "SLOSpec",
@@ -121,8 +111,8 @@ __all__ = [
     "evaluate_registry",
     "evaluate_snapshot",
     "get_telemetry",
+    "grid_ks",
     "iter_events",
-    "ks_distance",
     "max_burn",
     "load_manifests",
     "manifest_dir",

@@ -83,8 +83,6 @@ REGISTERED_NAMES: frozenset[str] = frozenset(
         "catalog.refresh.drift",
         # -- accuracy tracking (repro.telemetry.quality) ---------------
         "quality.observations",
-        # -- drift / staleness monitors (repro.telemetry.drift) --------
-        "drift.values",
         # -- SLO evaluation (repro.telemetry.slo) ----------------------
         "slo.violations",
     }

@@ -1,9 +1,10 @@
 """Tests for the database-layer caches (repro.db.cache and its users).
 
 Covers the :class:`~repro.db.cache.LRUCache` building block, the
-shared ANALYZE statistics cache with its fingerprint/explicit
-invalidation, and the planner's estimate LRU — including the
-``cache.hit`` / ``cache.miss`` telemetry the caches surface.
+shared ANALYZE statistics and summary caches with their
+fingerprint/explicit invalidation, and the planner's estimate LRU —
+including the ``cache.hit`` / ``cache.miss`` telemetry the caches
+surface.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from repro import telemetry
 from repro.data.domain import Interval
 from repro.db import Catalog, Planner, RangePredicate, Table
 from repro.db.cache import MISS, LRUCache
-from repro.db.catalog import _STATISTICS_CACHE
+from repro.db.catalog import _STATISTICS_CACHE, _SUMMARY_CACHE
 
 DOMAIN = Interval(0.0, 1_000.0)
 
@@ -28,8 +29,10 @@ def _make_table(name="points", shift=0.0, n=5_000, seed=0):
 @pytest.fixture(autouse=True)
 def _clean_statistics_cache():
     _STATISTICS_CACHE.clear()
+    _SUMMARY_CACHE.clear()
     yield
     _STATISTICS_CACHE.clear()
+    _SUMMARY_CACHE.clear()
 
 
 class TestLRUCache:
@@ -202,6 +205,46 @@ class TestStatisticsCache:
                 table.column_names
             )
             assert session.metrics.counter("cache.miss.statistics") == 0
+
+
+class TestSummaryCache:
+    def test_catalogs_share_one_summary_scan(self):
+        # The summary scan depends on neither family nor seed.
+        table = _make_table()
+        first = Catalog(family="equi-width", sample_size=500)
+        first.analyze(table, seed=7)
+        second = Catalog(family="kernel", sample_size=500)
+        with telemetry.session() as session:
+            second.analyze(table, seed=8)
+            assert session.metrics.counter("cache.hit.summaries") == 2
+            assert session.metrics.counter("summary.update") == 0
+        for column in table.column_names:
+            key = ("points", column)
+            assert second._summaries[key] is first._summaries[key]
+
+    def test_refresh_leaves_the_other_catalogs_summary_unchanged(self):
+        table = _make_table()
+        first = Catalog(family="equi-width", sample_size=500)
+        second = Catalog(family="equi-depth", sample_size=500)
+        first.analyze(table, seed=7)
+        second.analyze(table, seed=7)
+        shared = second._summaries[("points", "x")]
+        fingerprint = shared.freeze().fingerprint
+        table.append({"x": np.full(200, 900.0), "z": np.full(200, 100.0)})
+        assert first.refresh(table) == "incremental"
+        assert first._summaries[("points", "x")].freeze().fingerprint != fingerprint
+        assert second._summaries[("points", "x")] is shared
+        assert shared.freeze().fingerprint == fingerprint
+
+    def test_invalidate_evicts_summaries(self):
+        table = _make_table()
+        catalog = Catalog(family="equi-width", sample_size=500)
+        catalog.analyze(table, seed=7)
+        catalog.invalidate("points")
+        with telemetry.session() as session:
+            Catalog(family="kernel", sample_size=500).analyze(table, seed=7)
+            assert session.metrics.counter("cache.miss.summaries") == 2
+            assert session.metrics.counter("cache.hit.summaries") == 0
 
 
 class TestPlannerEstimateCache:

@@ -201,6 +201,24 @@ class TestCatalogRefresh:
         # ...and still refreshes independently afterwards.
         assert catalog.refresh(table) == "incremental"
 
+    def test_fork_refresh_leaves_original_drift_reading(self):
+        table = _table()
+        catalog = Catalog(family="equi-depth", sample_size=1_000)
+        catalog.analyze(table, seed=3)
+        table.append({"x": _drift_batch(rows=600)})
+        assert catalog.refresh(table) == "incremental"
+        before = catalog.drift_of("metrics")
+        assert before["x"] > 0.0
+        fork = catalog.fork()
+        table.append({"x": _drift_batch(seed=2, rows=600)})
+        assert fork.refresh(table) == "incremental"
+        assert fork.drift_of("metrics")["x"] > before["x"]
+        fork.analyze(table, seed=3)
+        assert fork.drift_of("metrics") == {"x": 0.0}
+        # Neither the fork's refresh nor its rescan moved the
+        # original's baseline or live summaries.
+        assert catalog.drift_of("metrics") == before
+
 
 class TestMaintain:
     def test_untouched_tables_stay_fresh(self):
@@ -222,18 +240,78 @@ class TestMaintain:
         catalog = Catalog(family="equi-depth", sample_size=1_000)
         catalog.analyze(stable, seed=3)
         catalog.analyze(drifting, seed=3)
-        # Feed the monitors: the stable table sees in-distribution
-        # values, the drifting one a shifted distribution.
+        # Both tables take 1,500 appended rows (inside the staleness
+        # budget): in-distribution for the stable one, a new mode at
+        # the top of the domain for the drifting one.
         rng = np.random.default_rng(12)
-        catalog.observe_values(
-            "stable", "x", np.clip(rng.normal(400.0, 120.0, 512), 0, 1_000)
-        )
-        catalog.observe_values("drifting", "x", _drift_batch(seed=13, rows=512))
+        stable.append({"x": np.clip(rng.normal(400.0, 120.0, 1_500), 0, 1_000)})
+        drifting.append({"x": _drift_batch(seed=13, rows=1_500)})
         with telemetry.session() as session:
             modes = catalog.maintain([stable, drifting], ks_threshold=0.15)
-            assert modes["stable"] == "fresh"
-            assert modes["drifting"] in {"incremental", "full"}
+            assert modes == {"stable": "incremental", "drifting": "full"}
             assert session.metrics.counter("catalog.refresh.drift") == 1
+        # The rescan reset the drifting table's baseline.
+        assert catalog.drift_of("drifting") == {"x": 0.0}
+        assert catalog.drift_of("stable")["x"] < 0.15
+
+    def test_delete_only_regime_change_escalates(self, monkeypatch):
+        # Bimodal table; deleting one whole mode (a third of the rows,
+        # inside the staleness budget) refreshes incrementally, and the
+        # grid KS against the ANALYZE-time summary then forces a rescan.
+        x = np.concatenate(
+            [
+                np.random.default_rng(5).normal(300.0, 40.0, 4_000),
+                np.random.default_rng(6).normal(800.0, 30.0, 2_000),
+            ]
+        )
+        table = Table("bimodal", {"x": (np.clip(x, 0.0, 1_000.0), DOMAIN)})
+        catalog = Catalog(family="equi-depth", sample_size=1_000)
+        catalog.analyze(table, seed=3)
+        assert table.delete_where({"x": (600.0, 1_000.0)}) == 2_000
+        with telemetry.session() as session:
+            gauges = []
+            set_gauge = session.metrics.set_gauge
+
+            def record(name, value):
+                gauges.append((name, value))
+                set_gauge(name, value)
+
+            monkeypatch.setattr(session.metrics, "set_gauge", record)
+            assert catalog.maintain([table]) == {"bimodal": "full"}
+            assert session.metrics.counter("catalog.refresh.drift") == 1
+        readings = [value for name, value in gauges if name == "drift.ks.bimodal.x"]
+        assert readings[0] >= 0.3  # the incremental refresh, pre-rescan
+        assert readings[-1] == 0.0  # the rescan's new baseline
+
+    def test_readings_independent_of_split_and_delete_order(self):
+        appended = _drift_batch(seed=14, rows=1_000)
+        # No appended row lies below 200, so the delete removes the same
+        # rows whether it runs before or after the appends.
+        doomed = {"x": (0.0, 200.0)}
+
+        def reading(steps, refresh_each):
+            table = _table()
+            catalog = Catalog(family="equi-depth", sample_size=1_000)
+            catalog.analyze(table, seed=3)
+            for step in steps:
+                step(table)
+                if refresh_each:
+                    assert catalog.refresh(table) == "incremental"
+            assert catalog.refresh(table) in {"incremental", "fresh"}
+            return catalog.drift_of("metrics")["x"]
+
+        whole = lambda t: t.append({"x": appended})
+        head = lambda t: t.append({"x": appended[:300]})
+        tail = lambda t: t.append({"x": appended[300:]})
+        delete = lambda t: t.delete_where(doomed)
+        one = reading([whole], refresh_each=False)
+        assert one > 0.0
+        assert reading([head, tail], refresh_each=False) == one
+        assert reading([head, tail], refresh_each=True) == one
+        before = reading([delete, whole], refresh_each=False)
+        assert before != one
+        assert reading([head, tail, delete], refresh_each=True) == before
+        assert reading([head, delete, tail], refresh_each=False) == before
 
 
 class TestRefreshAccuracy:

@@ -8,20 +8,19 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.core.summary import ColumnSummary
 from repro.data.domain import Interval
 from repro.telemetry import (
-    DriftMonitor,
     JsonlEventLog,
     MetricsRegistry,
     QualityTracker,
-    ReservoirSample,
     SLOSpec,
     StalenessMonitor,
     evaluate_bench,
     evaluate_registry,
     evaluate_snapshot,
+    grid_ks,
     iter_events,
-    ks_distance,
     parse_exposition,
     prometheus_exposition,
     qerror,
@@ -94,64 +93,77 @@ class TestQualityTracker:
         assert events[0]["qerror"] == pytest.approx(2.0)
 
 
+def _grid(values, domain=Interval(0.0, 10.0)):
+    """Summary grid counts of ``values`` (the drift statistic's input)."""
+    return ColumnSummary(domain, seed=0).update(np.asarray(values, dtype=float)).grid_counts
+
+
 class TestReservoirAndKS:
+    """The summary reservoir (the one sampler) and the grid KS distance."""
+
     def test_reservoir_bounds_memory(self):
-        reservoir = ReservoirSample(capacity=32, seed=0)
-        reservoir.extend(np.arange(10_000, dtype=float))
-        assert reservoir.values().size == 32
-        assert reservoir.seen == 10_000
+        summary = ColumnSummary(Interval(0.0, 10_000.0), seed=0, capacity=32)
+        summary.update(np.arange(10_000, dtype=float))
+        assert summary.distinct_tracked == 32
+        assert summary.row_count == 10_000
 
     def test_reservoir_is_deterministic(self):
-        a, b = ReservoirSample(16, seed=5), ReservoirSample(16, seed=5)
-        values = np.random.default_rng(0).normal(size=500)
-        a.extend(values)
-        b.extend(values)
-        assert a.values() == pytest.approx(b.values())
+        values = np.random.default_rng(0).uniform(0.0, 10.0, 500)
+        a = ColumnSummary(Interval(0.0, 10.0), seed=5, capacity=16).update(values)
+        b = ColumnSummary(Interval(0.0, 10.0), seed=5, capacity=16).update(values)
+        assert a.freeze().sample.tobytes() == b.freeze().sample.tobytes()
 
     def test_ks_identical_samples_is_zero(self):
-        values = np.random.default_rng(1).normal(size=200)
-        assert ks_distance(values, values) == 0.0
+        values = np.clip(np.random.default_rng(1).normal(5.0, 1.0, 200), 0.0, 10.0)
+        assert grid_ks(_grid(values), _grid(values)) == 0.0
 
     def test_ks_disjoint_samples_is_one(self):
-        assert ks_distance(np.zeros(10), np.ones(10) * 5) == 1.0
+        assert grid_ks(_grid(np.zeros(10)), _grid(np.ones(10) * 5)) == 1.0
 
     def test_ks_empty_raises(self):
         with pytest.raises(ValueError):
-            ks_distance(np.array([]), np.ones(3))
+            grid_ks(np.zeros(4, dtype=np.int64), np.ones(4, dtype=np.int64))
+
+
+def _drift_catalog():
+    from repro.db import Catalog, Table
+
+    x = np.clip(np.random.default_rng(3).normal(400.0, 120.0, 6_000), 0.0, 1_000.0)
+    table = Table("t", {"x": (x, Interval(0.0, 1_000.0))})
+    catalog = Catalog("equi-depth", 500)
+    catalog.analyze(table, seed=0)
+    return catalog, table
 
 
 class TestDriftMonitor:
+    """``Catalog.drift_of``: grid KS against the last full ANALYZE."""
+
     def test_detects_distribution_shift(self):
-        rng = np.random.default_rng(3)
-        monitor = DriftMonitor(capacity=256, min_recent=32)
-        baseline = rng.normal(0.0, 1.0, 1_000)
-        monitor.set_baseline("t", "x", baseline)
+        rng = np.random.default_rng(4)
+        catalog, table = _drift_catalog()
+        table.append({"x": np.clip(rng.normal(400.0, 120.0, 1_500), 0.0, 1_000.0)})
+        assert catalog.refresh(table) == "incremental"
+        assert catalog.drift_of("t")["x"] < 0.05
 
-        monitor.ingest("t", "x", rng.normal(0.0, 1.0, 500))
-        same = monitor.reading("t", "x")
-        assert same is not None and same.ks < 0.15
+        catalog, table = _drift_catalog()
+        table.append({"x": np.clip(rng.normal(800.0, 40.0, 1_500), 0.0, 1_000.0)})
+        assert catalog.refresh(table) == "incremental"
+        assert catalog.drift_of("t")["x"] > 0.15
 
-        shifted = DriftMonitor(capacity=256, min_recent=32)
-        shifted.set_baseline("t", "x", baseline)
-        shifted.ingest("t", "x", rng.normal(3.0, 1.0, 500))
-        moved = shifted.reading("t", "x")
-        assert moved is not None and moved.ks > 0.8
+    def test_no_reading_before_analyze(self):
+        from repro.db import Catalog
 
-    def test_no_reading_before_baseline_or_min_recent(self):
-        monitor = DriftMonitor(min_recent=16)
-        assert monitor.ingest("t", "x", np.ones(100)) is None  # no baseline
-        monitor.set_baseline("t", "x", np.zeros(50))
-        monitor.ingest("t", "x", np.ones(4))
-        assert monitor.reading("t", "x") is None  # underfed
+        assert Catalog().drift_of("t") == {}
 
     def test_gauge_emitted_when_traced(self):
-        rng = np.random.default_rng(4)
-        monitor = DriftMonitor(min_recent=16)
-        monitor.set_baseline("t", "x", rng.normal(size=200))
         with telemetry.session() as t:
-            monitor.ingest("t", "x", rng.normal(size=64))
-        assert t.metrics.counter("drift.values") == 64
-        assert math.isfinite(t.metrics.gauge("drift.ks.t.x"))
+            catalog, table = _drift_catalog()
+            assert t.metrics.gauge("drift.ks.t.x") == 0.0
+            table.append({"x": np.full(1_000, 900.0)})
+            catalog.refresh(table)
+        reading = catalog.drift_of("t")["x"]
+        assert reading > 0.1
+        assert t.metrics.gauge("drift.ks.t.x") == reading
 
 
 class TestStalenessMonitor:
@@ -191,7 +203,7 @@ class TestCatalogAndPlannerWiring:
         table = Table("points", {"x": (rng.uniform(0, 1_000, 2_000), domain)})
         catalog = Catalog(sample_size=400)
         # Generator seed bypasses the process-global statistics cache, so
-        # every fresh per-test catalog draws a sample and seeds baselines.
+        # every fresh per-test catalog draws a sample.
         catalog.analyze(table, seed=np.random.default_rng(1))
         return catalog, Planner(catalog), table, RangePredicate
 
@@ -200,14 +212,14 @@ class TestCatalogAndPlannerWiring:
         staleness = catalog.staleness_of("points")
         assert staleness is not None
         assert staleness.version_lag == 0
-        assert catalog.drift.has_baseline("points", "x")
+        assert catalog.drift_of("points") == {"x": 0.0}
 
-    def test_observe_values_produces_drift_reading(self, setup):
+    def test_mutations_produce_drift_reading(self, setup):
         catalog, _, table, _ = setup
-        shifted = np.random.default_rng(2).uniform(900, 1_000, 200)
-        reading = catalog.observe_values("points", "x", shifted)
-        assert reading is not None
-        assert reading.ks > 0.5
+        table.append({"x": np.random.default_rng(2).uniform(900, 1_000, 400)})
+        table.delete_where({"x": (0.0, 100.0)})
+        assert catalog.refresh(table) == "incremental"
+        assert catalog.drift_of("points")["x"] > 0.15
 
     def test_invalidate_forgets_staleness(self, setup):
         catalog, _, _, _ = setup
@@ -217,29 +229,28 @@ class TestCatalogAndPlannerWiring:
     def test_invalidate_forgets_drift_baseline(self, setup):
         catalog, _, _, _ = setup
         catalog.invalidate("points")
-        assert not catalog.drift.has_baseline("points", "x")
-        shifted = np.random.default_rng(2).uniform(900, 1_000, 200)
-        assert catalog.observe_values("points", "x", shifted) is None
-        assert catalog.drift.snapshot() == {}
+        assert catalog.drift_of("points") == {}
 
     def test_cached_analyze_sets_drift_baseline(self):
         # The second catalog's ANALYZE is served from the process-wide
-        # statistics cache and draws no rows; it must still be able to
-        # see drift, against the same baseline as the first.
+        # statistics and summary caches and draws no rows; it must
+        # still measure drift, against the same baseline as the first.
         from repro.db import Catalog, Table
 
         domain = Interval(0.0, 1_000.0)
         values = np.random.default_rng(3).uniform(0, 1_000, 5_000)
         table = Table("cached_points", {"x": (values, domain)})
-        shifted = np.random.default_rng(2).uniform(900, 1_000, 600)
-        readings = []
-        for _ in range(2):
-            catalog = Catalog("equi-depth", 500)
+        catalogs = [Catalog("equi-depth", 500) for _ in range(2)]
+        for catalog in catalogs:
             catalog.analyze(table, seed=0)
-            assert catalog.drift.has_baseline("cached_points", "x")
-            readings.append(catalog.observe_values("cached_points", "x", shifted))
-        assert readings[0] is not None and readings[1] is not None
-        assert readings[1].ks == readings[0].ks > 0.5
+            assert catalog.drift_of("cached_points") == {"x": 0.0}
+        table.append({"x": np.random.default_rng(2).uniform(900, 1_000, 2_000)})
+        readings = []
+        for catalog in catalogs:
+            assert catalog.refresh(table) == "incremental"
+            readings.append(catalog.drift_of("cached_points")["x"])
+        assert readings[1] == readings[0]
+        assert readings[0] > 0.2
 
     def test_observe_actual_records_quality_by_table(self, setup):
         _, planner, table, RangePredicate = setup
